@@ -1,6 +1,6 @@
 # Convenience entry points; dune is the build system.
 
-.PHONY: all check check-crash check-maintain check-codec check-planner check-serve check-selfobs check-net test bench bench-par bench-recovery bench-obs bench-maintain bench-codec bench-planner bench-overload bench-slo bench-net bench-trend clean
+.PHONY: all check check-crash check-maintain check-codec check-planner check-serve check-selfobs check-net test bench bench-par bench-recovery bench-obs bench-maintain bench-codec bench-planner bench-overload bench-slo bench-net bench-trend perfbench clean
 
 all:
 	dune build
@@ -117,6 +117,15 @@ bench-trend:
 	done
 	SVR_BENCH_PROFILE=quick dune exec bench/main.exe -- slo net
 	dune exec bench/trend.exe -- --baseline _bench_baseline
+
+# the repository benchmark (BENCHMARK.json): one seeded workload, one JSON
+# line; W is cold_update_mix, warm_read or served_flash
+W ?= warm_read
+SEED ?= 1
+SECS ?= 20
+TRACE ?= 0
+perfbench:
+	python3 perfbench/run.py --workload $(W) --seed $(SEED) --seconds $(SECS) --trace $(TRACE)
 
 clean:
 	dune clean

@@ -13,6 +13,7 @@ type t = {
   cstate : Cs.t;
   mutable policy : Chunk_policy.t;
   catalog : Planner.Catalog.t option;
+  depth : Svr_obs.Metrics.histogram; (* merge groups per query *)
 }
 
 let record_long t term postings =
@@ -72,7 +73,8 @@ let build ?env:env_opt ?catalog ?policy_of_scores ~with_ts cfg ~corpus ~scores =
       short = Short_list.create env ~name:"short" Short_list.Chunk_rank;
       cstate = Cs.create env ~name:"listchunk";
       policy = Chunk_policy.ratio_based ~ratio:2.0 ~min_docs:1 [| 1.0 |];
-      catalog }
+      catalog;
+      depth = Qobs.scan_depth (if with_ts then "Chunk-TermScore" else "Chunk") }
   in
   let by_term = Build_util.collect cfg t.docs t.scores ~corpus ~scores in
   let sample = ref [] in

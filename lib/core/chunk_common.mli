@@ -19,6 +19,7 @@ type t = {
   cstate : List_state.Chunk_state.t;
   mutable policy : Chunk_policy.t;
   catalog : Planner.Catalog.t option;
+  depth : Svr_obs.Metrics.histogram;  (** merge groups per query *)
 }
 
 val build :

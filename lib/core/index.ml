@@ -51,6 +51,7 @@ type t = {
   catalog : Planner.Catalog.t;
       (* per-term statistics, persisted next to the header; the methods keep
          it current at every long-list rewrite *)
+  obs : Qobs.t; (* this method's metric handles *)
 }
 
 let kind t = t.kind
@@ -186,7 +187,7 @@ let build ?env ?(tag = "index") kind cfg ~corpus ~scores =
     { kind; cfg; impl; tag; lock = Rw_lock.create ();
       maint = Maintenance.create cfg (maint_target impl);
       hdr = St.Env.btree env ~name:(tag ^ ":hdr");
-      catalog }
+      catalog; obs = Qobs.create (kind_name kind) }
   in
   (* overdue compaction means queries are paying the short-list penalty:
      report it as maintenance debt so health (and through it, admission)
@@ -287,8 +288,7 @@ let auto_maintain_locked t =
     match step_locked t with
     | None -> ()
     | Some (_, drained) ->
-        Qobs.maint_step ~meth:(kind_name t.kind) ~postings:drained
-          ~swap_wait_ms:0.0
+        Qobs.maint_step t.obs ~postings:drained ~swap_wait_ms:0.0
 
 let score_update t ~doc score =
   check_score score;
@@ -544,12 +544,7 @@ let query_terms t ?(mode = Types.Conjunctive) ?gallop ?budget terms ~k =
             | Some e -> Planner.Exec.replans e
             | None -> 0
           in
-          let strategy =
-            if p.Planner.p_table_scan then "table-scan"
-            else Planner.strategy_name p.Planner.p_strategy
-          in
-          Qobs.plan_metrics ~meth:(kind_name t.kind) ~strategy ~replans
-            ~table_scan:p.Planner.p_table_scan;
+          Qobs.plan_metrics t.obs p ~replans;
           if Qobs.Tr.is_on sp then begin
             Qobs.Tr.annotate sp "plan" (Planner.describe p);
             if replans > 0 then begin
@@ -570,9 +565,7 @@ let query_terms t ?(mode = Types.Conjunctive) ?gallop ?budget terms ~k =
           match Budget.tripped b with
           | None -> ()
           | Some reason ->
-              Qobs.degraded ~meth:(kind_name t.kind)
-                ~reason:(Budget.reason_name reason)
-                ~partial:(Budget.bound b <> None);
+              Qobs.degraded t.obs reason ~partial:(Budget.bound b <> None);
               if Qobs.Tr.is_on sp then begin
                 Qobs.Tr.annotate sp "degraded" (Budget.reason_name reason);
                 match Budget.bound b with
@@ -582,7 +575,7 @@ let query_terms t ?(mode = Types.Conjunctive) ?gallop ?budget terms ~k =
                 | None -> ()
               end)
       | None -> ());
-      Qobs.query_metrics ~meth:(kind_name t.kind)
+      Qobs.query_metrics t.obs
         ~wall_ms:(Svr_obs.Clock.now_ms () -. t0)
         ~sim_ms:(St.Stats.simulated_ms ~cost:(St.Env.cost (env t)) d)
         ~blocks_decoded:d.St.Stats.blocks_decoded
@@ -694,8 +687,7 @@ let maintain ?steps t =
             terms := !terms + nt;
             postings := !postings + np;
             wait := !wait +. w;
-            Qobs.maint_step ~meth:(kind_name t.kind) ~postings:np
-              ~swap_wait_ms:w;
+            Qobs.maint_step t.obs ~postings:np ~swap_wait_ms:w;
             true)
   in
   (match steps with

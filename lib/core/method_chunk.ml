@@ -75,7 +75,7 @@ let query t ?(mode = Types.Conjunctive) ?(gallop = true) ?exec ?budget terms
                (Budget.reason_name (Option.get (Budget.tripped b)))
                (Merge.groups_emitted merger) bound)
     | _ -> ());
-    Qobs.finish_merge ~meth:"Chunk" ~merger ~span:msp ~stop:(fun () ->
+    Qobs.finish_merge ~depth:t.C.depth ~merger ~span:msp ~stop:(fun () ->
         Printf.sprintf
           "exhausted the chunk-ordered list after %d groups: no chunk's stop \
            bound fell to the heap min"

@@ -267,7 +267,7 @@ let query t ?(mode = Types.Conjunctive) ?(gallop = true) ?exec ?budget terms
                (Budget.reason_name (Option.get (Budget.tripped b)))
                (Merge.groups_emitted merger) !bound (Hashtbl.length remain))
     | _ -> ());
-    Qobs.finish_merge ~meth:"Chunk-TermScore" ~merger ~span:msp
+    Qobs.finish_merge ~depth:t.base.C.depth ~merger ~span:msp
       ~stop:(fun () ->
         Printf.sprintf
           "exhausted the chunk-ordered list after %d groups (%d documents \

@@ -10,6 +10,7 @@ type t = {
   blobs : St.Blob_store.t;
   short : Short_list.t;
   catalog : Planner.Catalog.t option;
+  depth : Svr_obs.Metrics.histogram; (* merge groups per query *)
 }
 
 let env t = t.env
@@ -51,7 +52,8 @@ let build ?env:env_opt ?catalog ~with_ts cfg ~corpus ~scores =
       dir = Term_dir.create env ~name:"dir";
       blobs = St.Env.blob_store env ~name:"long";
       short = Short_list.create env ~name:"short" Short_list.Id_rank;
-      catalog }
+      catalog;
+      depth = Qobs.scan_depth (if with_ts then "ID-TermScore" else "ID") }
   in
   let by_term = Build_util.collect cfg t.docs t.scores ~corpus ~scores in
   Hashtbl.iter (fun term cell -> encode_term t by_term term !cell) by_term;
@@ -141,7 +143,7 @@ let query t ?(mode = Types.Conjunctive) ?(gallop = true) ?exec ?budget terms
           scan ()
     in
     scan ();
-    Qobs.finish_merge ~meth:(meth_name t) ~merger ~span:msp ~stop:(fun () ->
+    Qobs.finish_merge ~depth:t.depth ~merger ~span:msp ~stop:(fun () ->
         Printf.sprintf
           "no early termination: %s lists are doc-id ordered, so every \
            candidate's exact score must be probed — scanned all %d groups"

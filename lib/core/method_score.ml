@@ -7,6 +7,7 @@ type t = {
   docs : Doc_store.t;
   list : St.Btree.t; (* cold device: far larger than the cache *)
   catalog : Planner.Catalog.t option;
+  depth : Svr_obs.Metrics.histogram; (* merge groups per query *)
 }
 
 let env t = t.env
@@ -34,7 +35,7 @@ let build ?env:env_opt ?catalog cfg ~corpus ~scores =
       scores = Score_table.create env ~name:"score";
       docs = Doc_store.create env ~name:"content";
       list = St.Env.cold_btree env ~name:"long";
-      catalog }
+      catalog; depth = Qobs.scan_depth "Score" }
   in
   let by_term = Build_util.collect cfg t.docs t.scores ~corpus ~scores in
   Hashtbl.iter
@@ -158,7 +159,7 @@ let query t ?(mode = Types.Conjunctive) ?(gallop = true) ?exec ?budget terms
                (Budget.reason_name (Option.get (Budget.tripped b)))
                (Merge.groups_emitted merger) bound)
     | _ -> ());
-    Qobs.finish_merge ~meth:"Score" ~merger ~span:msp ~stop:(fun () ->
+    Qobs.finish_merge ~depth:t.depth ~merger ~span:msp ~stop:(fun () ->
         if Result_heap.is_full heap then
           Printf.sprintf
             "stopped after %d groups because the heap filled at min %.4f: \

@@ -11,6 +11,7 @@ type t = {
   short : Short_list.t;
   lstate : Ss.t;
   catalog : Planner.Catalog.t option;
+  depth : Svr_obs.Metrics.histogram; (* merge groups per query *)
 }
 
 let env t = t.env
@@ -51,7 +52,7 @@ let build ?env:env_opt ?catalog cfg ~corpus ~scores =
       blobs = St.Env.blob_store env ~name:"long";
       short = Short_list.create env ~name:"short" Short_list.Score_rank;
       lstate = Ss.create env ~name:"listscore";
-      catalog }
+      catalog; depth = Qobs.scan_depth "Score-Threshold" }
   in
   let by_term = Build_util.collect cfg t.docs t.scores ~corpus ~scores in
   Hashtbl.iter (fun term cell -> encode_term t term !cell scores) by_term;
@@ -213,7 +214,7 @@ let query t ?(mode = Types.Conjunctive) ?(gallop = true) ?exec ?budget terms
                (Budget.reason_name (Option.get (Budget.tripped b)))
                (Merge.groups_emitted merger) bound)
     | _ -> ());
-    Qobs.finish_merge ~meth:"Score-Threshold" ~merger ~span:msp
+    Qobs.finish_merge ~depth:t.depth ~merger ~span:msp
       ~stop:(fun () ->
         Printf.sprintf
           "exhausted the list-score-ordered list after %d groups: \

@@ -1,37 +1,98 @@
 (* Shared observability hooks for the query methods and the dispatch layer.
-   Everything here is per-query (never per-posting): one histogram lookup is
-   a mutex + hashtable probe, dwarfed by the I/O a query performs, and spans
-   cost nothing when tracing is off. *)
+   Every metric handle is made once, when its owner is created — a method's
+   scan-depth histogram at the method's build, the rest in {!t} at
+   [Index.build] — so a query records into resolved handles and never
+   takes the registry mutex, not even on the I/O-free warm read path.
+   Spans cost nothing when tracing is off. *)
 
 module Tr = Svr_obs.Trace
 module M = Svr_obs.Metrics
 
-let scan_depth ~meth groups =
-  M.observe
-    (M.histogram ~base:1.0 ~labels:[ ("method", meth) ]
-       ~help:"merge groups examined per query" "svr_query_scan_depth")
-    (float_of_int groups)
+(* one method's query, plan, budget and maintenance series *)
+type t = {
+  meth : string;
+  wall : M.histogram;
+  sim : M.histogram;
+  decoded : M.histogram;
+  skipped : M.histogram;
+  plans : (string * M.counter) list; (* by strategy, table-scan included *)
+  replans : M.counter;
+  table_scans : M.counter;
+  degraded : (Budget.reason * (M.counter * M.counter)) list;
+      (* by reason: (tripped, timed out) *)
+  maint_steps : M.counter;
+  maint_drained : M.counter;
+  maint_wait : M.histogram;
+}
 
-let query_metrics ~meth ~wall_ms ~sim_ms ~blocks_decoded ~blocks_skipped =
+let create meth =
   let labels = [ ("method", meth) ] in
-  M.observe
-    (M.histogram ~base:0.001 ~labels ~help:"query wall latency (ms)"
-       "svr_query_wall_ms")
-    wall_ms;
-  M.observe
-    (M.histogram ~base:0.001 ~labels
-       ~help:"query latency under the simulated I/O cost model (ms)"
-       "svr_query_sim_ms")
-    sim_ms;
-  M.observe
-    (M.histogram ~base:1.0 ~labels ~help:"posting blocks decoded per query"
-       "svr_query_blocks_decoded")
-    (float_of_int blocks_decoded);
-  M.observe
-    (M.histogram ~base:1.0 ~labels
-       ~help:"posting blocks skipped via headers per query"
-       "svr_query_blocks_skipped")
-    (float_of_int blocks_skipped)
+  let with_label k v = [ ("method", meth); (k, v) ] in
+  { meth;
+    wall =
+      M.histogram ~base:0.001 ~labels ~help:"query wall latency (ms)"
+        "svr_query_wall_ms";
+    sim =
+      M.histogram ~base:0.001 ~labels
+        ~help:"query latency under the simulated I/O cost model (ms)"
+        "svr_query_sim_ms";
+    decoded =
+      M.histogram ~base:1.0 ~labels ~help:"posting blocks decoded per query"
+        "svr_query_blocks_decoded";
+    skipped =
+      M.histogram ~base:1.0 ~labels
+        ~help:"posting blocks skipped via headers per query"
+        "svr_query_blocks_skipped";
+    plans =
+      List.map
+        (fun s ->
+          ( s,
+            M.counter ~labels:(with_label "strategy" s)
+              ~help:"queries planned from the per-term statistics catalog"
+              "svr_plans_total" ))
+        (List.map Planner.strategy_name Planner.[ Scan; Gallop ]
+        @ [ "table-scan" ]);
+    replans =
+      M.counter ~labels ~help:"mid-query re-plans by the adaptive executor"
+        "svr_replans_total";
+    table_scans =
+      M.counter ~labels
+        ~help:"planned queries answered by a forward-index table scan"
+        "svr_table_scans_total";
+    degraded =
+      List.map
+        (fun r ->
+          let labels = with_label "reason" (Budget.reason_name r) in
+          ( r,
+            ( M.counter ~labels
+                ~help:"queries whose execution budget tripped mid-scan"
+                "svr_degraded_total",
+              M.counter ~labels
+                ~help:"budget-tripped queries with no degraded bound (timed out)"
+                "svr_timed_out_total" ) ))
+        Budget.[ Deadline; Sim_deadline; Pages; Blocks; Cancelled ];
+    maint_steps =
+      M.counter ~labels ~help:"online-compaction maintenance steps run"
+        "svr_maint_steps_total";
+    maint_drained =
+      M.counter ~labels
+        ~help:"short-list postings drained into long lists by maintenance"
+        "svr_maint_postings_drained_total";
+    maint_wait =
+      M.histogram ~base:0.001 ~labels
+        ~help:"wait to acquire the index write lock for a maintenance step (ms)"
+        "svr_maint_swap_wait_ms" }
+
+(* A method's scan-depth histogram, made at the method's build. *)
+let scan_depth meth =
+  M.histogram ~base:1.0 ~labels:[ ("method", meth) ]
+    ~help:"merge groups examined per query" "svr_query_scan_depth"
+
+let query_metrics q ~wall_ms ~sim_ms ~blocks_decoded ~blocks_skipped =
+  M.observe q.wall wall_ms;
+  M.observe q.sim sim_ms;
+  M.observe q.decoded (float_of_int blocks_decoded);
+  M.observe q.skipped (float_of_int blocks_skipped)
 
 (* The executing domain's most recent plan strategy: the serving layer
    reads it right after a query returns (same domain, synchronous call) to
@@ -46,72 +107,46 @@ let last_strategy () = !(Domain.DLS.get strategy_key)
    were bypassed for a forward-index table scan. Recorded at the Index
    dispatch layer — the planner itself stays metrics-free so it can sit
    below the merge without a dependency cycle. *)
-let plan_metrics ~meth ~strategy ~replans ~table_scan =
+let plan_metrics q (p : Planner.plan) ~replans =
+  let strategy =
+    if p.Planner.p_table_scan then "table-scan"
+    else Planner.strategy_name p.Planner.p_strategy
+  in
   note_strategy strategy;
-  M.inc
-    (M.counter
-       ~labels:[ ("method", meth); ("strategy", strategy) ]
-       ~help:"queries planned from the per-term statistics catalog"
-       "svr_plans_total");
-  if replans > 0 then
-    M.add
-      (M.counter ~labels:[ ("method", meth) ]
-         ~help:"mid-query re-plans by the adaptive executor"
-         "svr_replans_total")
-      replans;
-  if table_scan then
-    M.inc
-      (M.counter ~labels:[ ("method", meth) ]
-         ~help:"planned queries answered by a forward-index table scan"
-         "svr_table_scans_total")
+  M.inc (List.assoc strategy q.plans);
+  if replans > 0 then M.add q.replans replans;
+  if p.Planner.p_table_scan then M.inc q.table_scans
 
 (* One budget-tripped query: which method and which dimension gave out, and
    whether the answer still carried a degraded bound (partial) or had to be
    surfaced as a timeout. An overload run reads these to see what actually
    broke first — wall deadline, page budget, or a caller's cancellation. *)
-let degraded ~meth ~reason ~partial =
-  let labels = [ ("method", meth); ("reason", reason) ] in
-  M.inc
-    (M.counter ~labels
-       ~help:"queries whose execution budget tripped mid-scan"
-       "svr_degraded_total");
+let degraded q reason ~partial =
+  let tripped, timed_out = List.assoc reason q.degraded in
+  M.inc tripped;
   if not partial then begin
-    M.inc
-      (M.counter ~labels
-         ~help:"budget-tripped queries with no degraded bound (timed out)"
-         "svr_timed_out_total");
+    M.inc timed_out;
     (* a timeout usually falls under the slow threshold precisely because
        the budget cut it short — record why it never finished *)
     Svr_obs.Slow_log.note
-      ~attrs:[ ("method", meth) ]
+      ~attrs:[ ("method", q.meth) ]
       ~kind:"timed_out"
-      ~reason:("budget tripped: " ^ reason)
+      ~reason:("budget tripped: " ^ Budget.reason_name reason)
       ()
   end
 
 (* One online-compaction step: how much it drained and how long it waited
    for the index write lock (the only stop-the-world component — the drain
    itself runs with queries merely queued, not cancelled). *)
-let maint_step ~meth ~postings ~swap_wait_ms =
-  let labels = [ ("method", meth) ] in
-  M.inc
-    (M.counter ~labels ~help:"online-compaction maintenance steps run"
-       "svr_maint_steps_total");
-  M.add
-    (M.counter ~labels
-       ~help:"short-list postings drained into long lists by maintenance"
-       "svr_maint_postings_drained_total")
-    postings;
-  M.observe
-    (M.histogram ~base:0.001 ~labels
-       ~help:"wait to acquire the index write lock for a maintenance step (ms)"
-       "svr_maint_swap_wait_ms")
-    swap_wait_ms
+let maint_step q ~postings ~swap_wait_ms =
+  M.inc q.maint_steps;
+  M.add q.maint_drained postings;
+  M.observe q.maint_wait swap_wait_ms
 
 (* Finish a method's merge span: record the scan depth on the span and in
    the metrics, and surface the method-specific stop narrative (lazily —
    the thunk runs only for traced queries). *)
-let finish_merge ~meth ~merger ~span ~stop =
+let finish_merge ~depth ~merger ~span ~stop =
   let groups = Merge.groups_emitted merger in
   if Tr.is_on span then begin
     Tr.annotate span "groups" (string_of_int groups);
@@ -120,4 +155,4 @@ let finish_merge ~meth ~merger ~span ~stop =
     if not (Tr.has_attr span "stop") then Tr.annotate span "stop" (stop ())
   end;
   Tr.pop span;
-  scan_depth ~meth groups
+  M.observe depth (float_of_int groups)

@@ -70,21 +70,26 @@ let draining t = t.draining
 (* -- metrics --------------------------------------------------------------- *)
 
 let conns_total =
-  lazy (M.counter ~help:"connections accepted" "svr_net_connections_total")
+  M.counter ~help:"connections accepted" "svr_net_connections_total"
 
-let conn_error kind =
-  M.inc
-    (M.counter
-       ~labels:[ ("kind", kind) ]
-       ~help:"connections closed on error" "svr_net_conn_errors_total")
+let conn_errors =
+  List.map
+    (fun kind ->
+      ( kind,
+        M.counter
+          ~labels:[ ("kind", kind) ]
+          ~help:"connections closed on error" "svr_net_conn_errors_total" ))
+    [ "protocol"; "corrupt"; "io"; "crash"; "idle_timeout";
+      "handshake_timeout" ]
+
+let conn_error kind = M.inc (List.assoc kind conn_errors)
 
 let http_total =
-  lazy (M.counter ~help:"HTTP exchanges served" "svr_net_http_requests_total")
+  M.counter ~help:"HTTP exchanges served" "svr_net_http_requests_total"
 
 let refused_total =
-  lazy
-    (M.counter ~help:"connections refused with a drain frame"
-       "svr_net_refused_total")
+  M.counter ~help:"connections refused with a drain frame"
+    "svr_net_refused_total"
 
 (* -- plumbing -------------------------------------------------------------- *)
 
@@ -172,7 +177,7 @@ let contains_head_end s =
   go 0 || go_lf 0
 
 let http_handle fd first =
-  M.inc (Lazy.force http_total);
+  M.inc http_total;
   (* bound the header read so a dribbling client cannot pin the thread
      through a drain *)
   (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0
@@ -361,7 +366,7 @@ let conn_main t conn =
 (* -- listener -------------------------------------------------------------- *)
 
 let refuse fd =
-  M.inc (Lazy.force refused_total);
+  M.inc refused_total;
   (try
      write_all fd
        (Wire.encode_response
@@ -378,7 +383,7 @@ let listener_loop t =
         (* the listening socket was shut down: drain in progress *)
         ()
     | fd, _peer ->
-        M.inc (Lazy.force conns_total);
+        M.inc conns_total;
         let admit =
           Mutex.protect t.mu (fun () ->
               if t.draining || t.live >= t.max_conns then None

@@ -28,7 +28,7 @@ type record = {
   ev_reason : string; (* shed verdict or budget-trip reason, "" if none *)
   ev_strategy : string; (* plan strategy, "" if unplanned *)
   ev_queue_wait_ms : float; (* submit -> dequeue, 0 when never queued *)
-  ev_service_ms : float; (* dequeue -> terminal *)
+  ev_service_ms : float; (* submit -> terminal, queue wait included *)
   ev_trace : int; (* trace id for .explain correlation, 0 unsampled *)
 }
 
@@ -38,10 +38,16 @@ let buf : record option array = Array.make capacity None
 let pos = ref 0
 let seq = ref 0
 
-let terminal_c term =
-  Metrics.counter
-    ~labels:[ ("terminal", terminal_name term) ]
-    ~help:"request lifecycles by terminal state" "svr_events_total"
+let terminal_cs =
+  List.map
+    (fun term ->
+      ( term,
+        Metrics.counter
+          ~labels:[ ("terminal", terminal_name term) ]
+          ~help:"request lifecycles by terminal state" "svr_events_total" ))
+    terminals
+
+let terminal_c term = List.assoc term terminal_cs
 
 let emit ?(reason = "") ?(strategy = "") ?(queue_wait_ms = 0.)
     ?(service_ms = 0.) ?(trace = 0) ~cls terminal =

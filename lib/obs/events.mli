@@ -20,7 +20,9 @@ type record = {
   ev_reason : string;  (** shed verdict or budget-trip reason; [""] *)
   ev_strategy : string;  (** plan strategy; [""] when unplanned *)
   ev_queue_wait_ms : float;  (** submit → dequeue; 0 when never queued *)
-  ev_service_ms : float;  (** dequeue → terminal *)
+  ev_service_ms : float;
+      (** submit → terminal, queue wait included; execution alone is
+          [ev_service_ms - ev_queue_wait_ms] *)
   ev_trace : int;  (** trace id for [.explain] correlation; 0 unsampled *)
 }
 

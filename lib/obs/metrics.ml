@@ -1,19 +1,12 @@
-(* Each counter/histogram owns a DLS key plus a registry of the cells it
-   handed out, like Stats.t: increments touch domain-private records,
-   snapshots sum them under the collector's mutex. The global registry
-   maps (name, labels) to collectors so independently-created components
+(* Each counter/histogram is a {!Cell} set: increments touch
+   domain-private records, reads fold over them. The global registry maps
+   (name, labels) to collectors so independently-created components
    (pagers, WALs, indexes across environments) share series. *)
 
 let n_buckets = 41 (* 40 finite log2 buckets + overflow *)
 let default_base = 0.001
 
-type counter_cell = { mutable cc_n : int }
-
-type counter = {
-  c_mu : Mutex.t;
-  c_cells : counter_cell list ref;
-  c_key : counter_cell Domain.DLS.key;
-}
+type counter = int ref Cell.t
 
 type hist_cell = {
   hc_buckets : int array; (* n_buckets *)
@@ -21,12 +14,7 @@ type hist_cell = {
   mutable hc_count : int;
 }
 
-type histogram = {
-  h_base : float;
-  h_mu : Mutex.t;
-  h_cells : hist_cell list ref;
-  h_key : hist_cell Domain.DLS.key;
-}
+type histogram = { h_base : float; h_cells : hist_cell Cell.t }
 
 type collector =
   | C of counter
@@ -61,39 +49,21 @@ let register ~help ~labels name make same =
 
 (* -- counters ------------------------------------------------------------- *)
 
-let make_counter () =
-  let mu = Mutex.create () in
-  let cells = ref [] in
-  let key =
-    Domain.DLS.new_key (fun () ->
-        let cell = { cc_n = 0 } in
-        Mutex.lock mu;
-        cells := cell :: !cells;
-        Mutex.unlock mu;
-        cell)
-  in
-  { c_mu = mu; c_cells = cells; c_key = key }
-
 let counter ?(help = "") ?(labels = []) name =
   match
     register ~help ~labels name
-      (fun () -> C (make_counter ()))
+      (fun () -> C (Cell.create (fun () -> ref 0)))
       (function C c -> Some (C c) | _ -> None)
   with
   | C c -> c
   | _ -> assert false
 
 let add c n =
-  let cell = Domain.DLS.get c.c_key in
-  cell.cc_n <- cell.cc_n + n
+  let cell = Cell.get c in
+  cell := !cell + n
 
 let inc c = add c 1
-
-let counter_value c =
-  Mutex.lock c.c_mu;
-  let v = List.fold_left (fun acc cell -> acc + cell.cc_n) 0 !(c.c_cells) in
-  Mutex.unlock c.c_mu;
-  v
+let counter_value c = Cell.fold (fun acc _ cell -> acc + !cell) 0 c
 
 (* -- gauges --------------------------------------------------------------- *)
 
@@ -103,25 +73,13 @@ let gauge ?(help = "") ?(labels = []) name f =
 
 (* -- histograms ----------------------------------------------------------- *)
 
-let make_histogram base =
-  let mu = Mutex.create () in
-  let cells = ref [] in
-  let key =
-    Domain.DLS.new_key (fun () ->
-        let cell =
-          { hc_buckets = Array.make n_buckets 0; hc_sum = 0.; hc_count = 0 }
-        in
-        Mutex.lock mu;
-        cells := cell :: !cells;
-        Mutex.unlock mu;
-        cell)
-  in
-  { h_base = base; h_mu = mu; h_cells = cells; h_key = key }
+let new_hist_cell () =
+  { hc_buckets = Array.make n_buckets 0; hc_sum = 0.; hc_count = 0 }
 
 let histogram ?(help = "") ?(labels = []) ?(base = default_base) name =
   match
     register ~help ~labels name
-      (fun () -> H (make_histogram base))
+      (fun () -> H { h_base = base; h_cells = Cell.create new_hist_cell })
       (function H h -> Some (H h) | _ -> None)
   with
   | H h -> h
@@ -138,24 +96,19 @@ let bucket_of h v =
   end
 
 let observe h v =
-  let cell = Domain.DLS.get h.h_key in
+  let cell = Cell.get h.h_cells in
   let i = bucket_of h v in
   cell.hc_buckets.(i) <- cell.hc_buckets.(i) + 1;
   cell.hc_sum <- cell.hc_sum +. v;
   cell.hc_count <- cell.hc_count + 1
 
 let hist_agg h =
-  let buckets = Array.make n_buckets 0 in
-  let sum = ref 0. and count = ref 0 in
-  Mutex.lock h.h_mu;
-  List.iter
-    (fun cell ->
+  Cell.fold
+    (fun (buckets, sum, count) _ cell ->
       Array.iteri (fun i n -> buckets.(i) <- buckets.(i) + n) cell.hc_buckets;
-      sum := !sum +. cell.hc_sum;
-      count := !count + cell.hc_count)
-    !(h.h_cells);
-  Mutex.unlock h.h_mu;
-  (buckets, !sum, !count)
+      (buckets, sum +. cell.hc_sum, count + cell.hc_count))
+    (Array.make n_buckets 0, 0., 0)
+    h.h_cells
 
 let hist_count h =
   let _, _, count = hist_agg h in
@@ -167,6 +120,15 @@ let hist_sum h =
 
 let bound h i =
   if i = n_buckets - 1 then infinity else h.h_base *. (2. ** float_of_int i)
+
+(* the non-empty buckets as ascending (upper bound, count) pairs, sum, count *)
+let hist_export h =
+  let buckets, sum, count = hist_agg h in
+  let bs = ref [] in
+  for i = n_buckets - 1 downto 0 do
+    if buckets.(i) <> 0 then bs := (bound h i, buckets.(i)) :: !bs
+  done;
+  (!bs, sum, count)
 
 (* -- quantiles ------------------------------------------------------------ *)
 
@@ -195,12 +157,8 @@ let quantile_of ~base buckets count q =
   end
 
 let hist_quantile h q =
-  let buckets, _, count = hist_agg h in
-  let bs = ref [] in
-  for i = n_buckets - 1 downto 0 do
-    if buckets.(i) <> 0 then bs := (bound h i, buckets.(i)) :: !bs
-  done;
-  quantile_of ~base:h.h_base !bs count q
+  let buckets, _, count = hist_export h in
+  quantile_of ~base:h.h_base buckets count q
 
 (* -- export --------------------------------------------------------------- *)
 
@@ -222,12 +180,8 @@ let snapshot () =
            | C c -> Counter (counter_value c)
            | G f -> Gauge (f ())
            | H h ->
-               let buckets, sum, count = hist_agg h in
-               let bs = ref [] in
-               for i = n_buckets - 1 downto 0 do
-                 if buckets.(i) <> 0 then bs := (bound h i, buckets.(i)) :: !bs
-               done;
-               Histogram { base = h.h_base; buckets = !bs; sum; count }
+               let buckets, sum, count = hist_export h in
+               Histogram { base = h.h_base; buckets; sum; count }
          in
          (k, v))
   |> List.sort compare
@@ -239,20 +193,15 @@ let reset () =
   in
   List.iter
     (function
-      | C c ->
-          Mutex.lock c.c_mu;
-          List.iter (fun cell -> cell.cc_n <- 0) !(c.c_cells);
-          Mutex.unlock c.c_mu
+      | C c -> Cell.fold (fun () _ cell -> cell := 0) () c
       | G _ -> ()
       | H h ->
-          Mutex.lock h.h_mu;
-          List.iter
-            (fun cell ->
+          Cell.fold
+            (fun () _ cell ->
               Array.fill cell.hc_buckets 0 n_buckets 0;
               cell.hc_sum <- 0.;
               cell.hc_count <- 0)
-            !(h.h_cells);
-          Mutex.unlock h.h_mu)
+            () h.h_cells)
     entries
 
 (* the percentile estimates every histogram exports alongside its buckets *)

@@ -2,9 +2,8 @@
 
     Collectors live in a process-global registry keyed by (name, labels).
     Counters and histograms store their values in {e per-domain cells}
-    (domain-local records registered under a mutex, exactly the
-    [Stats.per_domain] pattern): the hot path increments plain fields no
-    other domain touches, and {!snapshot} sums the cells — a commutative
+    ({!Cell}, the substrate [Stats] counts on too): the hot path increments
+    plain fields no other domain touches, and {!snapshot} sums the cells — a commutative
     reduction, so a serial run and a 4-domain run of the same work produce
     identical snapshots at quiescence. Gauges are read-time callbacks
     (e.g. a pager shard's hit rate computed from its counters at scrape).
@@ -12,7 +11,8 @@
     Registration is idempotent for counters and histograms (the existing
     collector is returned, so components re-created across environments
     share one series) and last-wins for gauges (a fresh component's
-    callback replaces its predecessor's). *)
+    callback replaces its predecessor's). Registration takes the registry
+    mutex: make handles when their owner is created, never per operation. *)
 
 type counter
 type histogram

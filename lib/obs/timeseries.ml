@@ -299,5 +299,5 @@ let clear t =
       t.last_wall <- neg_infinity)
 
 (* The process-wide instance the serving layer ticks and the shell reads. *)
-let default = lazy (create ())
-let shared () = Lazy.force default
+let default = create ()
+let shared () = default

@@ -1,9 +1,9 @@
 (* Spans form a per-domain stack rooted in domain-local state, so deep
    hooks (a block decode five layers below the query loop) attach to the
    right parent without any plumbing through intermediate signatures.
-   Completed spans are pushed into a per-domain ring buffer registered
-   under a global mutex, mirroring the Stats per-domain-cell pattern: the
-   hot path never locks, aggregation walks the registry at quiescence.
+   Completed spans are pushed into a per-domain ring buffer held in a
+   {!Cell}, the substrate Stats and Metrics count on: the hot path never
+   locks, aggregation folds over the cells at quiescence.
 
    The off path: [sampling = 0] keeps [active] false, [root]/[push] return
    the physically-unique [none] sentinel after one atomic load, and every
@@ -64,21 +64,14 @@ let span_ctr = Atomic.make 0
 let sim_clock = ref (fun () -> 0.)
 let root_hook : (event -> unit) option ref = ref None
 
-let registry_mu = Mutex.create ()
-let rings : ring list ref = ref []
+let ctxs =
+  Cell.create (fun () ->
+      { c_current = none;
+        c_ring =
+          { r_domain = (Domain.self () :> int);
+            r_buf = Array.make ring_capacity None; r_pos = 0; r_count = 0 } })
 
-let ctx_key =
-  Domain.DLS.new_key (fun () ->
-      let ring =
-        { r_domain = (Domain.self () :> int);
-          r_buf = Array.make ring_capacity None; r_pos = 0; r_count = 0 }
-      in
-      Mutex.lock registry_mu;
-      rings := ring :: !rings;
-      Mutex.unlock registry_mu;
-      { c_current = none; c_ring = ring })
-
-let ctx () = Domain.DLS.get ctx_key
+let ctx () = Cell.get ctxs
 
 let refresh_active () =
   Atomic.set active_a
@@ -162,14 +155,13 @@ let push name =
 (* overwriting a retained event means some trace just lost a span — its
    [.explain] tree will render truncated, so make the loss countable *)
 let dropped_c =
-  lazy
-    (Metrics.counter
-       ~help:"completed spans overwritten by ring wrap before retrieval"
-       "svr_trace_dropped_spans_total")
+  Metrics.counter
+    ~help:"completed spans overwritten by ring wrap before retrieval"
+    "svr_trace_dropped_spans_total"
 
 let record ring ev =
   (match ring.r_buf.(ring.r_pos) with
-  | Some _ -> Metrics.inc (Lazy.force dropped_c)
+  | Some _ -> Metrics.inc dropped_c
   | None -> ());
   ring.r_buf.(ring.r_pos) <- Some ev;
   ring.r_pos <- (ring.r_pos + 1) mod ring_capacity;
@@ -219,11 +211,8 @@ let annotate_f s key value =
 (* -- inspection ----------------------------------------------------------- *)
 
 let fold_rings f acc =
-  Mutex.lock registry_mu;
-  let rs = !rings in
-  Mutex.unlock registry_mu;
-  List.fold_left
-    (fun acc r ->
+  Cell.fold
+    (fun acc _ { c_ring = r; _ } ->
       let acc = ref acc in
       let n = min r.r_count ring_capacity in
       for i = 0 to n - 1 do
@@ -233,7 +222,7 @@ let fold_rings f acc =
         | None -> ()
       done;
       !acc)
-    acc rs
+    acc ctxs
 
 let trace_events trace =
   fold_rings (fun acc ev -> if ev.e_trace = trace then ev :: acc else acc) []
@@ -246,11 +235,9 @@ let recent_events ?(n = 64) () =
   |> List.rev
 
 let clear () =
-  Mutex.lock registry_mu;
-  List.iter
-    (fun r ->
+  Cell.fold
+    (fun () _ { c_ring = r; _ } ->
       Array.fill r.r_buf 0 ring_capacity None;
       r.r_pos <- 0;
       r.r_count <- 0)
-    !rings;
-  Mutex.unlock registry_mu
+    () ctxs

@@ -13,8 +13,8 @@
     {!hot} before building attribute lists, so a query path with tracing
     off performs one atomic load per hook site and nothing else.
 
-    Completed spans land in {e per-domain ring buffers} (registered like
-    [Stats] cells), so recording never takes a lock; {!trace_events} and
+    Completed spans land in {e per-domain ring buffers} (one {!Cell} per
+    domain, like [Stats] counters), so recording never takes a lock; {!trace_events} and
     {!recent_events} walk the registry at quiescent points. *)
 
 type span

@@ -26,12 +26,35 @@ type t = {
   mutable depth : int; (* requests admitted and not yet released *)
   mutable admitted : int;
   mutable shed : int;
+  admitted_c : (cls * M.counter) list;
+  shed_c : ((cls * string) * M.counter) list; (* by (class, verdict) *)
 }
 
 let create ?(policy = C.Config.Depth) ?health ~bound () =
   if bound < 1 then invalid_arg "Admission.create: bound must be >= 1";
+  let classes = [ Query; Update; Maintenance ] in
+  let admitted_c =
+    List.map
+      (fun c ->
+        ( c,
+          M.counter ~labels:[ ("class", cls_name c) ]
+            ~help:"requests admitted by admission control" "svr_admitted_total"
+        ))
+      classes
+  and shed_c =
+    List.concat_map
+      (fun c ->
+        List.map
+          (fun why ->
+            ( (c, why),
+              M.counter
+                ~labels:[ ("class", cls_name c); ("reason", why) ]
+                ~help:"requests shed by admission control" "svr_shed_total" ))
+          [ "critical"; "depth"; "cost" ])
+      classes
+  in
   { bound; policy; health; mu = Mutex.create (); depth = 0; admitted = 0;
-    shed = 0 }
+    shed = 0; admitted_c; shed_c }
 
 let bound t = t.bound
 let policy t = t.policy
@@ -67,10 +90,7 @@ let health_retry_scale = function
 
 let record_shed t cls why =
   t.shed <- t.shed + 1;
-  M.inc
-    (M.counter
-       ~labels:[ ("class", cls_name cls); ("reason", why) ]
-       ~help:"requests shed by admission control" "svr_shed_total")
+  M.inc (List.assoc (cls, why) t.shed_c)
 
 (* The retry hint assumes the queue drains roughly one request per
    millisecond of simulated work — coarse, but it scales with the backlog,
@@ -144,11 +164,7 @@ let try_admit t ?est_cost_ms ?deadline_ms cls =
           end)
   in
   (match r with
-  | Ok () ->
-      M.inc
-        (M.counter
-           ~labels:[ ("class", cls_name cls) ]
-           ~help:"requests admitted by admission control" "svr_admitted_total")
+  | Ok () -> M.inc (List.assoc cls t.admitted_c)
   | Error { reason; retry_after_ms } ->
       (* the request never ran, so no trace will retain it — leave the
          verdict where [.slow] can answer "why did this one vanish" *)

@@ -56,39 +56,25 @@ let fulfill tk st =
       Condition.broadcast tk.tcv)
 
 let queue_wait_hist =
-  lazy
-    (M.histogram ~base:0.001
-       ~help:"time a request spent in the intake queue (ms)"
-       "svr_server_queue_wait_ms")
+  M.histogram ~base:0.001
+    ~help:"time a request spent in the intake queue (ms)"
+    "svr_server_queue_wait_ms"
 
 let queue_wait_sim_hist =
-  lazy
-    (M.histogram ~base:0.001
-       ~help:"queue wait on the simulated clock (ms)"
-       "svr_server_queue_wait_sim_ms")
+  M.histogram ~base:0.001 ~help:"queue wait on the simulated clock (ms)"
+    "svr_server_queue_wait_sim_ms"
 
-(* per-class histograms, memoized: the registry lookup (label-list
-   allocation + mutex round trip) must not run once per request on the hot
-   path — the same reason [queue_wait_hist] above is lazy *)
-let service_hist =
-  let mk cls =
-    lazy
-      (M.histogram ~base:0.001
-         ~labels:[ ("class", Admission.cls_name cls) ]
-         ~help:
-           "submit-to-terminal time of served requests (ms, queue wait \
-            included)"
-         "svr_server_service_ms")
-  in
-  let q = mk Admission.Query
-  and u = mk Admission.Update
-  and m = mk Admission.Maintenance in
-  fun cls ->
-    Lazy.force
-      (match cls with
-      | Admission.Query -> q
-      | Admission.Update -> u
-      | Admission.Maintenance -> m)
+let service_hists =
+  List.map
+    (fun cls ->
+      ( cls,
+        M.histogram ~base:0.001
+          ~labels:[ ("class", Admission.cls_name cls) ]
+          ~help:
+            "submit-to-terminal time of served requests (ms, queue wait \
+             included)"
+          "svr_server_service_ms" ))
+    [ Admission.Query; Admission.Update; Admission.Maintenance ]
 
 let serve_one t r =
   (* Dual-clock audit: the wall deadline dates from submission (the
@@ -100,10 +86,10 @@ let serve_one t r =
      dimensions, the histograms and the [Events] record all describe the
      same submission-dated interval. *)
   let queue_wait = Obs.Clock.now_ms () -. r.submitted_at in
-  M.observe (Lazy.force queue_wait_hist) queue_wait;
+  M.observe queue_wait_hist queue_wait;
   let queue_wait_sim = Obs.Clock.sim_ms () -. r.submitted_sim in
   if queue_wait_sim > 0.0 then begin
-    M.observe (Lazy.force queue_wait_sim_hist) queue_wait_sim;
+    M.observe queue_wait_sim_hist queue_wait_sim;
     C.Budget.charge_sim r.budget queue_wait_sim
   end;
   (* a root span around the whole service makes the trace id available for
@@ -122,7 +108,7 @@ let serve_one t r =
   let trace = Obs.Trace.trace_id sp in
   Obs.Trace.pop sp;
   let service_ms = Obs.Clock.now_ms () -. r.submitted_at in
-  M.observe (service_hist r.cls) service_ms;
+  M.observe (List.assoc r.cls service_hists) service_ms;
   let cls = Admission.cls_name r.cls in
   (* the query ran synchronously on this domain, so the plan strategy it
      noted is still in this domain's slot *)

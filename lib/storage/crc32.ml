@@ -4,17 +4,14 @@
    same signature. *)
 
 let table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
-let update crc b (* byte *) =
-  let t = Lazy.force table in
-  t.((crc lxor b) land 0xff) lxor (crc lsr 8)
+let update crc b (* byte *) = table.((crc lxor b) land 0xff) lxor (crc lsr 8)
 
 let bytes_sub b off len =
   let crc = ref 0xFFFFFFFF in

@@ -38,6 +38,15 @@ let create ?(page_size = 4096) ?(table_pool_pages = 8192)
      process-wide, unlike the per-domain span clock above *)
   Svr_obs.Clock.set_sim_source (fun () ->
       Stats.simulated_ms ~cost (Stats.snapshot stats));
+  (* every storage counter on /metrics, read at scrape time; like
+     [svr_pager_hit_rate], the last environment created wins *)
+  List.iter
+    (fun (name, get) ->
+      Svr_obs.Metrics.gauge
+        ~help:("storage counter " ^ name ^ " of the latest environment")
+        ("svr_io_" ^ name)
+        (fun () -> float_of_int (get (Stats.snapshot stats))))
+    Stats.fields;
   let breakers = ref [] in
   let mk_breaker name =
     match breaker_threshold with

@@ -47,7 +47,9 @@ val create :
     (default 32) is the group-commit batch. [breaker_threshold] (default
     none) attaches a {!Retry} circuit breaker to every device created by
     this environment, opening after that many consecutive transient/torn
-    read faults. @raise Invalid_argument if [breaker_threshold < 1]. *)
+    read faults. Every {!Stats.fields} counter of the new environment is
+    exported as the gauge [svr_io_<field>] (the latest environment wins).
+    @raise Invalid_argument if [breaker_threshold < 1]. *)
 
 val btree : t -> name:string -> Btree.t
 (** A fresh B+-tree on its own hot device. *)

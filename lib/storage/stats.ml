@@ -1,8 +1,9 @@
-(* Per-domain counter cells: each domain that touches a [t] gets its own
-   cell via domain-local storage, so hot-path increments are plain mutable
-   writes to memory no other domain touches. Aggregation (snapshot / reset /
-   per_domain) walks the registry under a mutex; it is meant for quiescent
-   measurement points, not for racing against live increments. *)
+(* Per-domain counter cells over {!Svr_obs.Cell}: each domain that touches
+   a [t] gets its own record, so hot-path increments are plain mutable
+   writes to memory no other domain touches. Every aggregate (reset,
+   snapshot, per_domain, diff, pp) is a fold over the cells and the one
+   field table below, so a new counter is one record field plus one table
+   row. *)
 
 type counters = {
   mutable logical_reads : int;
@@ -23,11 +24,7 @@ type counters = {
   mutable stall_ms : int;
 }
 
-type t = {
-  mu : Mutex.t;
-  cells : (int * counters) list ref; (* (domain id, cell), insertion order *)
-  key : counters Domain.DLS.key;
-}
+type t = counters Svr_obs.Cell.t
 
 type cost_model = {
   seq_read_ms : float;
@@ -47,104 +44,57 @@ let zero () =
     wal_appends = 0; wal_bytes = 0; checksum_failures = 0; read_retries = 0;
     recovery_replays = 0; stall_ms = 0 }
 
-let create () =
-  let mu = Mutex.create () in
-  let cells = ref [] in
-  let key =
-    Domain.DLS.new_key (fun () ->
-        let c = zero () in
-        let id = (Domain.self () :> int) in
-        Mutex.lock mu;
-        cells := (id, c) :: !cells;
-        Mutex.unlock mu;
-        c)
-  in
-  { mu; cells; key }
+(* (name, get, set), in declaration order *)
+let table =
+  [ ("logical_reads", (fun c -> c.logical_reads),
+     fun c v -> c.logical_reads <- v);
+    ("cache_hits", (fun c -> c.cache_hits), fun c v -> c.cache_hits <- v);
+    ("seq_reads", (fun c -> c.seq_reads), fun c v -> c.seq_reads <- v);
+    ("rand_reads", (fun c -> c.rand_reads), fun c v -> c.rand_reads <- v);
+    ("page_writes", (fun c -> c.page_writes), fun c v -> c.page_writes <- v);
+    ("seq_writes", (fun c -> c.seq_writes), fun c v -> c.seq_writes <- v);
+    ("blocks_decoded", (fun c -> c.blocks_decoded),
+     fun c v -> c.blocks_decoded <- v);
+    ("blocks_skipped", (fun c -> c.blocks_skipped),
+     fun c v -> c.blocks_skipped <- v);
+    ("upper_seeks", (fun c -> c.upper_seeks), fun c v -> c.upper_seeks <- v);
+    ("codec_bytes_written", (fun c -> c.codec_bytes_written),
+     fun c v -> c.codec_bytes_written <- v);
+    ("wal_appends", (fun c -> c.wal_appends), fun c v -> c.wal_appends <- v);
+    ("wal_bytes", (fun c -> c.wal_bytes), fun c v -> c.wal_bytes <- v);
+    ("checksum_failures", (fun c -> c.checksum_failures),
+     fun c v -> c.checksum_failures <- v);
+    ("read_retries", (fun c -> c.read_retries),
+     fun c v -> c.read_retries <- v);
+    ("recovery_replays", (fun c -> c.recovery_replays),
+     fun c v -> c.recovery_replays <- v);
+    ("stall_ms", (fun c -> c.stall_ms), fun c v -> c.stall_ms <- v) ]
 
-let cell t = Domain.DLS.get t.key
+let fields = List.map (fun (name, get, _) -> (name, get)) table
 
-let zero_counters c =
-  c.logical_reads <- 0;
-  c.cache_hits <- 0;
-  c.seq_reads <- 0;
-  c.rand_reads <- 0;
-  c.page_writes <- 0;
-  c.seq_writes <- 0;
-  c.blocks_decoded <- 0;
-  c.blocks_skipped <- 0;
-  c.upper_seeks <- 0;
-  c.codec_bytes_written <- 0;
-  c.wal_appends <- 0;
-  c.wal_bytes <- 0;
-  c.checksum_failures <- 0;
-  c.read_retries <- 0;
-  c.recovery_replays <- 0;
-  c.stall_ms <- 0
+let create () = Svr_obs.Cell.create zero
+let cell = Svr_obs.Cell.get
+
+(* dst <- f dst src, field by field *)
+let combine f dst src =
+  List.iter (fun (_, get, set) -> set dst (f (get dst) (get src))) table;
+  dst
 
 let reset t =
-  Mutex.lock t.mu;
-  List.iter (fun (_, c) -> zero_counters c) !(t.cells);
-  Mutex.unlock t.mu
-
-let copy c =
-  { logical_reads = c.logical_reads; cache_hits = c.cache_hits;
-    seq_reads = c.seq_reads; rand_reads = c.rand_reads;
-    page_writes = c.page_writes; seq_writes = c.seq_writes;
-    blocks_decoded = c.blocks_decoded;
-    blocks_skipped = c.blocks_skipped; upper_seeks = c.upper_seeks;
-    codec_bytes_written = c.codec_bytes_written; wal_appends = c.wal_appends;
-    wal_bytes = c.wal_bytes; checksum_failures = c.checksum_failures;
-    read_retries = c.read_retries; recovery_replays = c.recovery_replays;
-    stall_ms = c.stall_ms }
-
-let accumulate acc c =
-  acc.logical_reads <- acc.logical_reads + c.logical_reads;
-  acc.cache_hits <- acc.cache_hits + c.cache_hits;
-  acc.seq_reads <- acc.seq_reads + c.seq_reads;
-  acc.rand_reads <- acc.rand_reads + c.rand_reads;
-  acc.page_writes <- acc.page_writes + c.page_writes;
-  acc.seq_writes <- acc.seq_writes + c.seq_writes;
-  acc.blocks_decoded <- acc.blocks_decoded + c.blocks_decoded;
-  acc.blocks_skipped <- acc.blocks_skipped + c.blocks_skipped;
-  acc.upper_seeks <- acc.upper_seeks + c.upper_seeks;
-  acc.codec_bytes_written <- acc.codec_bytes_written + c.codec_bytes_written;
-  acc.wal_appends <- acc.wal_appends + c.wal_appends;
-  acc.wal_bytes <- acc.wal_bytes + c.wal_bytes;
-  acc.checksum_failures <- acc.checksum_failures + c.checksum_failures;
-  acc.read_retries <- acc.read_retries + c.read_retries;
-  acc.recovery_replays <- acc.recovery_replays + c.recovery_replays;
-  acc.stall_ms <- acc.stall_ms + c.stall_ms
+  Svr_obs.Cell.fold
+    (fun () _ c -> List.iter (fun (_, _, set) -> set c 0) table)
+    () t
 
 let snapshot t =
-  let acc = zero () in
-  Mutex.lock t.mu;
-  List.iter (fun (_, c) -> accumulate acc c) !(t.cells);
-  Mutex.unlock t.mu;
-  acc
+  Svr_obs.Cell.fold (fun acc _ c -> combine ( + ) acc c) (zero ()) t
 
 let per_domain t =
-  Mutex.lock t.mu;
-  let cells = List.rev_map (fun (id, c) -> (id, copy c)) !(t.cells) in
-  Mutex.unlock t.mu;
-  cells
+  List.rev
+    (Svr_obs.Cell.fold
+       (fun acc id c -> (id, combine ( + ) (zero ()) c) :: acc)
+       [] t)
 
-let diff ~after ~before =
-  { logical_reads = after.logical_reads - before.logical_reads;
-    cache_hits = after.cache_hits - before.cache_hits;
-    seq_reads = after.seq_reads - before.seq_reads;
-    rand_reads = after.rand_reads - before.rand_reads;
-    page_writes = after.page_writes - before.page_writes;
-    seq_writes = after.seq_writes - before.seq_writes;
-    blocks_decoded = after.blocks_decoded - before.blocks_decoded;
-    blocks_skipped = after.blocks_skipped - before.blocks_skipped;
-    upper_seeks = after.upper_seeks - before.upper_seeks;
-    codec_bytes_written = after.codec_bytes_written - before.codec_bytes_written;
-    wal_appends = after.wal_appends - before.wal_appends;
-    wal_bytes = after.wal_bytes - before.wal_bytes;
-    checksum_failures = after.checksum_failures - before.checksum_failures;
-    read_retries = after.read_retries - before.read_retries;
-    recovery_replays = after.recovery_replays - before.recovery_replays;
-    stall_ms = after.stall_ms - before.stall_ms }
+let diff ~after ~before = combine ( - ) (combine ( + ) (zero ()) after) before
 
 let simulated_ms ?(cost = default_cost) c =
   (float_of_int c.seq_reads *. cost.seq_read_ms)
@@ -153,16 +103,10 @@ let simulated_ms ?(cost = default_cost) c =
   +. (float_of_int c.seq_writes *. cost.seq_write_ms)
   +. float_of_int c.stall_ms
 
-(* every field prints, every time: partial output hid the PR 3 counters
+(* every field prints, every time: partial output hid the WAL counters
    whenever a run happened not to touch the WAL, which made "is durability
    even on?" unanswerable from a stats line *)
 let pp ppf c =
-  Format.fprintf ppf
-    "reads=%d hits=%d seq=%d rand=%d writes=%d seq-w=%d blk-dec=%d \
-     blk-skip=%d ef-seek=%d codec-w=%dB wal=%d/%dB crc-fail=%d retries=%d \
-     replays=%d stall=%dms (sim %.2f ms)"
-    c.logical_reads c.cache_hits c.seq_reads c.rand_reads c.page_writes
-    c.seq_writes c.blocks_decoded c.blocks_skipped c.upper_seeks
-    c.codec_bytes_written c.wal_appends c.wal_bytes
-    c.checksum_failures c.read_retries c.recovery_replays c.stall_ms
-    (simulated_ms c)
+  List.iter (fun (name, get) -> Format.fprintf ppf "%s=%d " name (get c))
+    fields;
+  Format.fprintf ppf "(sim %.2f ms)" (simulated_ms c)

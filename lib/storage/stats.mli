@@ -13,7 +13,8 @@
     cells; {!per_domain} exposes them individually (the parallel-query bench
     derives per-domain cache-hit rates and a modeled parallel elapsed time
     from them). Aggregation is exact at quiescent points; while other domains
-    are actively counting it may observe in-flight values. *)
+    are actively counting it may observe in-flight values. The cells are a
+    {!Svr_obs.Cell} set, the substrate [Metrics] and [Trace] use too. *)
 
 type counters = {
   mutable logical_reads : int;  (** page reads requested (incl. cache hits) *)
@@ -52,6 +53,11 @@ type counters = {
 
 type t
 (** A set of per-domain counter cells sharing one registry. *)
+
+val fields : (string * (counters -> int)) list
+(** Every counter field's name and reader, in declaration order — the one
+    list [reset], [snapshot], [diff] and [pp] fold over, and the source of
+    the [svr_io_<field>] series {!Env.create} exports. *)
 
 type cost_model = {
   seq_read_ms : float;  (** cost of a sequential 4 KiB page read *)

@@ -41,7 +41,31 @@ let test_stats_pp_all_fields () =
       (Printf.sprintf "pp omits counter field %d of %d" i n)
       ~needle:(string_of_int (70003 + (7 * i)))
       s
-  done
+  done;
+  (* the field table covers the whole record, and the environment exports
+     every field as a [svr_io_<field>] series equal to [Stats.snapshot] *)
+  check Alcotest.int "field table covers the record" n
+    (List.length St.Stats.fields);
+  let env = St.Env.create ~page_size:256 ~durable:true () in
+  let tree = St.Env.btree env ~name:"pp-io" in
+  for k = 0 to 199 do
+    St.Btree.insert tree (Printf.sprintf "k%04d" k) (String.make 40 'v')
+  done;
+  St.Env.checkpoint env;
+  St.Env.drop_all_caches env;
+  ignore (St.Btree.find tree "k0123");
+  let snap = St.Stats.snapshot (St.Env.stats env) in
+  check Alcotest.bool "the I/O was counted" true
+    (snap.St.Stats.logical_reads > 0 && snap.St.Stats.page_writes > 0);
+  let exported = M.snapshot () in
+  List.iter
+    (fun (field, get) ->
+      match List.assoc_opt ("svr_io_" ^ field, []) exported with
+      | Some (M.Gauge v) ->
+          check (Alcotest.float 0.) ("svr_io_" ^ field)
+            (float_of_int (get snap)) v
+      | _ -> Alcotest.failf "svr_io_%s not exported as a gauge" field)
+    St.Stats.fields
 
 (* ------------------------------------------------------------------ *)
 (* Metrics: counters, histogram bucketing, exposition formats *)
@@ -275,7 +299,8 @@ let test_tracing_changes_no_io () =
    was distributed *)
 let deterministic_metrics =
   [ "svr_query_scan_depth"; "svr_query_blocks_decoded";
-    "svr_query_blocks_skipped" ]
+    "svr_query_blocks_skipped"; "svr_io_blocks_decoded";
+    "svr_io_blocks_skipped" ]
 
 let filtered_snapshot () =
   List.filter
@@ -314,6 +339,8 @@ let test_serial_vs_parallel_metrics () =
   in
   let run pool =
     M.reset ();
+    (* the svr_io_* gauges read the environment's cumulative counters *)
+    St.Env.reset_stats (Core.Index.env idx);
     ignore (Core.Index.query_terms_batch idx ?pool batch ~k:4);
     filtered_snapshot ()
   in
